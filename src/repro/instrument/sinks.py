@@ -10,8 +10,9 @@ sink decides what "keeping" means:
 
 * :class:`MemorySink` — the original buffer-everything behavior (default);
 * :class:`DirectorySink` — incremental on-disk streaming: one JSONL line
-  plus one ``.npz`` tensor shard per frame, O(1) resident frames no matter
-  how long the stream runs; readable mid-stream by
+  plus one ``.bin`` tensor shard (a single zlib-compressed blob) per frame,
+  O(1) resident frames no matter how long the stream runs; readable
+  mid-stream by
   :meth:`EXrayLog.load <repro.instrument.store.EXrayLog.load>`;
 * :class:`RingBufferSink` — bounded-memory always-on mode: the last *N*
   frames plus running whole-stream aggregates, so ``monitor.summary()``
@@ -36,16 +37,17 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.instrument.records import FrameLog, frame_to_doc
+from repro.instrument.records import FrameLog, encode_shard, frame_to_doc
 from repro.util.errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
     from repro.instrument.monitor import EdgeMLMonitor
     from repro.instrument.store import EXrayLog
 
-LOG_FORMAT_VERSION = 2
-"""Current on-disk layout: ``frames.jsonl`` + per-frame ``tensors/`` shards.
-Version 1 (monolithic ``frames.json`` + ``tensors.npz``) remains readable."""
+LOG_FORMAT_VERSION = 3
+"""Current on-disk layout: ``frames.jsonl`` + one ``tensors/<step>.bin``
+blob per tensor-carrying frame. Version 2 (per-frame ``.npz`` shards) and
+version 1 (monolithic ``frames.json`` + ``tensors.npz``) remain readable."""
 
 
 class StreamStats:
@@ -184,16 +186,24 @@ class RingBufferSink(LogSink):
 
 
 class DirectorySink(LogSink):
-    """Stream frames to a log directory as they close (v2 on-disk layout).
+    """Stream frames to a log directory as they close (v3 on-disk layout).
 
     Layout::
 
-        meta.json            # stream header (v2; byte-compatible keys + version)
+        meta.json            # stream header (v3; byte-compatible keys + version)
         frames.jsonl         # one JSON document per frame, appended per emit
-        tensors/000042.npz   # that frame's tensors (written only when present)
+        tensors/000042.bin   # that frame's tensors (written only when present)
 
-    Each emit appends one JSONL line and writes at most one ``.npz`` shard;
-    no frame is retained in memory, so resident footprint is O(1) in stream
+    A shard is the frame's tensors as raw C-order bytes, concatenated in
+    sorted key order and compressed with zlib as one blob
+    (:func:`~repro.instrument.records.encode_shard`); the frame's document
+    records each tensor's ``[dtype descr, shape]`` in ``tensor_specs``,
+    aligned with ``tensor_keys``. A tensor that cannot be stored as raw
+    bytes (object or structured dtype) is a :class:`ValidationError` at
+    emit, before anything of the frame is written.
+
+    Each emit appends one JSONL line and writes at most one shard; no frame
+    is retained in memory, so resident footprint is O(1) in stream
     length. Construction writes ``meta.json`` and an empty
     ``frames.jsonl`` immediately (truncating any previous stream at that
     root), so the directory is loadable from the instant the sink exists —
@@ -238,11 +248,11 @@ class DirectorySink(LogSink):
             raise ValidationError(
                 f"directory sink at {self.root} is closed; frames can no "
                 "longer be emitted to it")
+        doc = frame_to_doc(frame)
         if frame.tensors:
-            np.savez_compressed(
-                self.root / "tensors" / f"{frame.step:06d}.npz",
-                **frame.tensors)
-        self._handle.write(json.dumps(frame_to_doc(frame)) + "\n")
+            (self.root / "tensors" / f"{frame.step:06d}.bin").write_bytes(
+                encode_shard(frame))
+        self._handle.write(json.dumps(doc) + "\n")
         self._handle.flush()
 
     def sync(self) -> None:

@@ -1,12 +1,20 @@
 """EXray-log persistence: stream logs to disk and read them back lazily.
 
-Two on-disk layouts, both directories:
+Three on-disk layouts, all directories:
 
-* **v2 (current)** — what :class:`~repro.instrument.sinks.DirectorySink`
-  streams: ``meta.json`` (header, same keys as v1 plus ``version: 2``),
+* **v3 (current)** — what :class:`~repro.instrument.sinks.DirectorySink`
+  streams: ``meta.json`` (header, same keys as v1 plus ``version: 3``),
   ``frames.jsonl`` (one JSON document per frame, appended as each frame
-  closes), and ``tensors/<step>.npz`` (one shard per tensor-carrying
-  frame). :func:`save_log` is a thin drain over a DirectorySink.
+  closes; each lists its tensors' ``tensor_keys`` and, aligned with them,
+  ``tensor_specs`` — ``[dtype descr, shape]`` pairs), and
+  ``tensors/<step>.bin`` (one shard per tensor-carrying frame: the raw
+  C-order bytes of its tensors in key order, as one zlib blob).
+  :func:`save_log` is a thin drain over a DirectorySink. The shard codec
+  both sides share is :func:`~repro.instrument.records.encode_shard` /
+  :func:`~repro.instrument.records.decode_shard`.
+* **v2 (legacy, read-only)** — as v3, but each shard is
+  ``tensors/<step>.npz`` (``np.savez_compressed``, one entry per tensor)
+  and the frame documents carry no ``tensor_specs``.
 * **v1 (legacy, read-only)** — the monolithic layout the pre-sink
   ``save_log`` wrote: ``meta.json``, ``frames.json`` (all frame documents
   in one array), and ``tensors.npz`` (every array, keyed
@@ -17,9 +25,10 @@ The byte sizes of these files are exactly the "Disk" columns of Tables 2,
 
 :class:`EXrayLog` is a *lazy* reader: loading a directory parses only the
 small per-frame documents; tensor payloads stay on disk until a frame is
-materialized. :meth:`EXrayLog.iter_frames` streams frames one at a time —
-per-layer validation of a 10k-frame trace touches one frame (pair) of
-tensors at a time instead of holding the whole trace in memory.
+materialized (every loaded array is a writable copy owning its data).
+:meth:`EXrayLog.iter_frames` streams frames one at a time — per-layer
+validation of a 10k-frame trace touches one frame (pair) of tensors at a
+time instead of holding the whole trace in memory.
 ``EXrayLog.frames`` remains the eager view (materializes and caches all
 frames).
 """
@@ -28,14 +37,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zlib
 from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
 from repro.instrument.monitor import EdgeMLMonitor
-from repro.instrument.records import FrameLog, frame_from_doc
-from repro.instrument.sinks import DirectorySink, LogSink, TeeSink
+from repro.instrument.records import FrameLog, decode_shard, frame_from_doc
+from repro.instrument.sinks import (
+    LOG_FORMAT_VERSION,
+    DirectorySink,
+    LogSink,
+    TeeSink,
+)
 from repro.util.errors import ValidationError
 
 
@@ -133,7 +148,7 @@ def save_log(monitor: EdgeMLMonitor, root: str | Path) -> int:
     Flushes any pending lazily-opened frame first so trailing sensor-only
     logs are not dropped. Since the sink redesign this is a thin drain over
     :class:`~repro.instrument.sinks.DirectorySink`: frames are re-emitted
-    one at a time into ``root`` (v2 layout). The drain prefers the most
+    one at a time into ``root`` (v3 layout). The drain prefers the most
     complete view of the stream — a DirectorySink (even one nested in a
     TeeSink) has every frame on disk, while a ring buffer can only offer
     its retained window. When the monitor already streams to a
@@ -170,7 +185,7 @@ class _ListSource:
     ignored: in-memory frames already hold their tensors.
     """
 
-    version = 2
+    version = LOG_FORMAT_VERSION
 
     def __init__(self, frames: list[FrameLog]):
         self._frames = frames
@@ -191,7 +206,7 @@ class _ListSource:
 
 
 class _DirectorySource:
-    """Lazy frame source over a v1 or v2 log directory.
+    """Lazy frame source over a v1, v2 or v3 log directory.
 
     Per-frame documents (scalars, sensors, latencies — small) are parsed
     once and held; tensor payloads are read from disk only when a frame is
@@ -206,6 +221,8 @@ class _DirectorySource:
             raise ValidationError(f"no EXray log at {self.root}")
         self.meta = json.loads(meta_path.read_text())
         self.version = self.meta.get("version", 1)
+        self._attach_shard = (self._attach_v3 if self.version >= 3
+                              else self._attach_v2)
         jsonl = self.root / "frames.jsonl"
         legacy = self.root / "frames.json"
         if jsonl.exists():
@@ -263,6 +280,30 @@ class _DirectorySource:
                         frame.step, key,
                         f"tensor shard {shard.name} has no such entry") from None
 
+    def _attach_v3(self, doc: dict, frame: FrameLog, keys=None) -> None:
+        wanted = self._wanted(doc, keys)
+        if not wanted:
+            return
+        shard = self.root / "tensors" / f"{frame.step:06d}.bin"
+        try:
+            blob = shard.read_bytes()
+        except FileNotFoundError:
+            raise self._missing(
+                frame.step, wanted[0],
+                f"tensor shard {shard.name} is missing (truncated log?)"
+            ) from None
+        try:
+            frame.tensors.update(decode_shard(blob, doc, wanted))
+        except zlib.error as exc:
+            raise self._missing(
+                frame.step, wanted[0],
+                f"tensor shard {shard.name} is corrupt ({exc})") from None
+        except ValueError as exc:
+            raise self._missing(
+                frame.step, wanted[0],
+                f"tensor shard {shard.name} has the wrong size ({exc})"
+            ) from None
+
     def _open_v1_tensors(self):
         path = self.root / "tensors.npz"
         return np.load(path) if path.exists() else None
@@ -274,7 +315,7 @@ class _DirectorySource:
             for doc in self._docs:
                 frame = frame_from_doc(doc)
                 if load_tensors:
-                    self._attach_v2(doc, frame, keys)
+                    self._attach_shard(doc, frame, keys)
                 yield frame
             return
         npz = self._open_v1_tensors() if load_tensors else None
@@ -295,7 +336,7 @@ class _DirectorySource:
         if not load_tensors:
             return frame
         if self.version >= 2:
-            self._attach_v2(doc, frame, keys)
+            self._attach_shard(doc, frame, keys)
         else:
             npz = self._open_v1_tensors()
             try:
@@ -340,13 +381,13 @@ class EXrayLog:
     # ------------------------------------------------------------- creation
     @classmethod
     def load(cls, root: str | Path) -> "EXrayLog":
-        """Lazily open a log directory (v2 streamed or v1 monolithic).
+        """Lazily open a log directory (v3/v2 streamed or v1 monolithic).
 
         Only frame documents are parsed here; tensor payloads load on
         access. A truncated log — ``tensor_keys`` naming arrays whose
-        ``.npz`` payload is missing — raises :class:`ValidationError`
-        naming the directory and the missing key when (and only when) the
-        affected frame is materialized.
+        shard is missing, corrupt or the wrong size — raises
+        :class:`ValidationError` naming the directory and the missing key
+        when (and only when) the affected frame is materialized.
         """
         root = Path(root)
         source = _DirectorySource(root)
@@ -382,7 +423,7 @@ class EXrayLog:
         ``load_tensors=False`` skips tensor payloads entirely — the cheap
         path for latency/memory queries over directory-backed logs. A
         ``keys`` set restricts which tensors load (e.g.
-        ``keys={"model_output"}`` decompresses one array per frame of a
+        ``keys={"model_output"}`` keeps one array per frame of a
         per-layer trace instead of the whole shard). Both knobs only
         affect directory-backed logs; in-memory frames arrive as-is.
         """

@@ -42,7 +42,7 @@ Shard artifact layout (what :func:`run_shard` writes under ``out_dir``)::
 
     manifest.json        # copied next to the results: artifacts are self-contained
     report.json          # this shard's SweepReport (versioned JSON)
-    logs/<variant>/      # per-variant DirectorySink v2 edge logs
+    logs/<variant>/      # per-variant DirectorySink v3 edge logs
     logs/reference/      # only when the worker had to rebuild the reference
     digests.json         # sha256 of report.json + content digest per edge log
 """

@@ -2,26 +2,33 @@
 
 Covers the LogSink redesign: MemorySink parity with the buffered monitor,
 DirectorySink incremental streaming (O(1) resident frames, mid-stream
-readability, v2 layout), RingBufferSink bounded always-on mode, TeeSink
+readability, v3 layout), RingBufferSink bounded always-on mode, TeeSink
 fan-out, the ``with monitor.frame(...)`` scope, lazy ``EXrayLog`` readers,
-and the save/load canonicalization + v1-compat guarantees.
+and the save/load canonicalization + v1/v2-compat guarantees.
 """
 
 import gc
 import json
+import tempfile
 import weakref
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.instrument import (
     DirectorySink,
     EXrayLog,
     EdgeMLMonitor,
+    FrameLog,
     MemorySink,
     RingBufferSink,
     TeeSink,
+    log_digest,
     save_log,
 )
 from repro.runtime import Interpreter
@@ -208,7 +215,7 @@ class TestDirectorySink:
         monitor.close()
         log = EXrayLog.load(tmp_path / "log")
         assert len(log) == 4
-        assert log.version == 2
+        assert log.version == 3
         assert log.layer_names() == [n.name for n in small_cnn.nodes]
 
     def test_readable_mid_stream(self, small_cnn, x_frames, tmp_path):
@@ -367,24 +374,28 @@ class TestLazyReader:
         assert len(series) == 4
 
 
-def write_v1_log(root: Path, monitor: EdgeMLMonitor) -> None:
-    """Write the pre-redesign v1 layout exactly as the old save_log did."""
-    root.mkdir(parents=True, exist_ok=True)
-    meta = {
+def legacy_meta(monitor: EdgeMLMonitor, version: int) -> dict:
+    return {
         "name": monitor.name,
         "per_layer": monitor.per_layer,
         "num_frames": len(monitor.frames),
         "monitor_overhead_ms": monitor.monitor_overhead_ms,
-        "version": 1,
+        "version": version,
     }
 
-    def jsonable(value):
-        if isinstance(value, (np.floating, np.integer)):
-            return float(value)
-        if isinstance(value, np.ndarray):
-            return value.tolist()
-        return value
 
+def jsonable(value):
+    if isinstance(value, (np.floating, np.integer)):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def write_v1_log(root: Path, monitor: EdgeMLMonitor) -> None:
+    """Write the pre-redesign v1 layout exactly as the old save_log did."""
+    root.mkdir(parents=True, exist_ok=True)
+    meta = legacy_meta(monitor, 1)
     frames_doc = []
     arrays = {}
     for frame in monitor.frames:
@@ -405,6 +416,33 @@ def write_v1_log(root: Path, monitor: EdgeMLMonitor) -> None:
     (root / "frames.json").write_text(json.dumps(frames_doc))
     if arrays:
         np.savez_compressed(root / "tensors.npz", **arrays)
+
+
+def write_v2_log(root: Path, monitor: EdgeMLMonitor) -> None:
+    """Write the v2 layout exactly as the npz-shard DirectorySink did:
+    JSONL frame documents without ``tensor_specs`` plus one
+    ``np.savez_compressed`` shard per tensor-carrying frame."""
+    (root / "tensors").mkdir(parents=True, exist_ok=True)
+    lines = []
+    for frame in monitor.frames:
+        if frame.tensors:
+            np.savez_compressed(root / "tensors" / f"{frame.step:06d}.npz",
+                                **frame.tensors)
+        lines.append(json.dumps({
+            "step": frame.step,
+            "latency_ms": frame.latency_ms,
+            "wall_ms": frame.wall_ms,
+            "memory_mb": frame.memory_mb,
+            "scalars": {k: jsonable(v) for k, v in frame.scalars.items()},
+            "sensors": {k: jsonable(v) for k, v in frame.sensors.items()},
+            "tensor_keys": sorted(frame.tensors),
+            "layer_latency_ms": frame.layer_latency_ms,
+            "layer_ops": frame.layer_ops,
+            "sensor_only": frame.sensor_only,
+        }) + "\n")
+    (root / "meta.json").write_text(json.dumps(legacy_meta(monitor, 2),
+                                               indent=2))
+    (root / "frames.jsonl").write_text("".join(lines))
 
 
 class TestFormatCompat:
@@ -448,17 +486,80 @@ class TestFormatCompat:
         assert isinstance(sensors["np_array"], list)
         assert sensors["plain"] == "landscape"
 
+    def test_v2_log_still_loads(self, small_cnn, x_frames, tmp_path):
+        monitor = EdgeMLMonitor(per_layer=True)
+        stream_frames(small_cnn, monitor, x_frames)
+        write_v2_log(tmp_path / "v2", monitor)
+        log = EXrayLog.load(tmp_path / "v2")
+        assert log.version == 2
+        assert len(log) == 4
+        assert log.layer_names() == [n.name for n in small_cnn.nodes]
+        for frame, sent in zip(log.iter_frames(), monitor.frames):
+            assert set(frame.tensors) == set(sent.tensors)
+            for key, value in sent.tensors.items():
+                np.testing.assert_array_equal(frame.tensors[key], value)
+        frame = log.frame(1, keys={"model_output"})
+        assert set(frame.tensors) == {"model_output"}
+
     def test_missing_v2_shard_names_dir_and_key(self, small_cnn, x_frames,
+                                                tmp_path):
+        monitor = EdgeMLMonitor()
+        stream_frames(small_cnn, monitor, x_frames[:2])
+        write_v2_log(tmp_path / "v2", monitor)
+        (tmp_path / "v2" / "tensors" / "000001.npz").unlink()
+        log = EXrayLog.load(tmp_path / "v2")   # lazy: no error yet
+        with pytest.raises(ValidationError, match="model_input"):
+            log.frame(1)
+        with pytest.raises(ValidationError, match=str(tmp_path / "v2")):
+            list(log.iter_frames())
+
+    def test_truncated_v2_shard_names_missing_key(self, small_cnn, x_frames,
+                                                  tmp_path):
+        monitor = EdgeMLMonitor()
+        stream_frames(small_cnn, monitor, x_frames[:1])
+        write_v2_log(tmp_path / "v2", monitor)
+        shard = tmp_path / "v2" / "tensors" / "000000.npz"
+        with np.load(shard) as npz:
+            arrays = {k: npz[k] for k in npz.files if k != "model_output"}
+        np.savez_compressed(shard, **arrays)
+        log = EXrayLog.load(tmp_path / "v2")
+        with pytest.raises(ValidationError,
+                           match="'model_output'.*no such entry"):
+            log.frames
+
+    def test_missing_v3_shard_names_dir_and_key(self, small_cnn, x_frames,
                                                 tmp_path):
         monitor = EdgeMLMonitor(sink=DirectorySink(tmp_path / "log"))
         stream_frames(small_cnn, monitor, x_frames[:2])
         monitor.close()
-        (tmp_path / "log" / "tensors" / "000001.npz").unlink()
+        (tmp_path / "log" / "tensors" / "000001.bin").unlink()
         log = EXrayLog.load(tmp_path / "log")   # lazy: no error yet
-        with pytest.raises(ValidationError, match="model_input"):
+        with pytest.raises(ValidationError, match="model_input.*missing"):
             log.frame(1)
         with pytest.raises(ValidationError, match=str(tmp_path / "log")):
             list(log.iter_frames())
+
+    @pytest.mark.parametrize("damage, why", [
+        (lambda blob: blob[:len(blob) // 2], "corrupt"),
+        (lambda blob: b"\x00" + blob[1:], "corrupt"),
+        (lambda blob: zlib.compress(zlib.decompress(blob)[:-4]),
+         "wrong size"),
+        (lambda blob: zlib.compress(zlib.decompress(blob) + b"\0"),
+         "wrong size"),
+    ], ids=["truncated", "bad-header", "short", "long"])
+    def test_damaged_v3_shard_names_dir_and_key(self, small_cnn, x_frames,
+                                                tmp_path, damage, why):
+        monitor = EdgeMLMonitor(sink=DirectorySink(tmp_path / "log"))
+        stream_frames(small_cnn, monitor, x_frames[:2])
+        monitor.close()
+        shard = tmp_path / "log" / "tensors" / "000001.bin"
+        shard.write_bytes(damage(shard.read_bytes()))
+        log = EXrayLog.load(tmp_path / "log")
+        log.frame(0)                            # frame 0 is untouched
+        with pytest.raises(ValidationError, match=f"model_input.*{why}"):
+            log.frame(1)
+        with pytest.raises(ValidationError, match=str(tmp_path / "log")):
+            log.frame(1, keys={"model_output"})
 
     def test_missing_v1_npz_names_dir_and_key(self, small_cnn, x_frames,
                                               tmp_path):
@@ -483,6 +584,111 @@ class TestFormatCompat:
         log = EXrayLog.load(tmp_path / "v1")
         with pytest.raises(ValidationError, match="model_output"):
             log.frames
+
+
+RAW_DTYPES = ["?", "i1", "u1", "<i4", "<i8", ">i4",
+              "<f2", "<f4", "<f8", ">f8"]
+
+
+@st.composite
+def tensor_dicts(draw):
+    """A frame's tensors: mixed dtypes, 0-d and empty shapes, and C,
+    Fortran and non-contiguous memory layouts."""
+    tensors = {}
+    for i in range(draw(st.integers(0, 4))):
+        array = draw(hnp.arrays(
+            np.dtype(draw(st.sampled_from(RAW_DTYPES))),
+            hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                             max_side=4)))
+        layout = draw(st.sampled_from(["c", "fortran", "strided"]))
+        if layout == "fortran":
+            array = np.asfortranarray(array)
+        elif layout == "strided" and array.ndim:
+            array = np.repeat(array, 2, axis=0)[::2]
+        tensors[f"layer/t{i}"] = array
+    return tensors
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def emit_all(root: Path, frames) -> None:
+    sink = DirectorySink(root)
+    for frame in frames:
+        sink.emit(frame)
+    sink.close()
+
+
+class TestShardCodec:
+    """The v3 one-blob tensor shard: exact round trips, owned arrays on
+    load, emit-time rejection of unstorable tensors, determinism."""
+
+    @given(frames=st.lists(tensor_dicts(), min_size=1, max_size=3),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_is_byte_exact(self, frames, data):
+        sent = [FrameLog(step=i, tensors=t) for i, t in enumerate(frames)]
+        with tempfile.TemporaryDirectory() as tmp:
+            emit_all(Path(tmp) / "a", sent)
+            log = EXrayLog.load(Path(tmp) / "a")
+            assert log.version == 3
+            for frame, want in zip(log.iter_frames(), sent):
+                assert set(frame.tensors) == set(want.tensors)
+                for key, value in want.tensors.items():
+                    assert same_bytes(frame.tensors[key], value)
+            for i, want in enumerate(sent):
+                keys = data.draw(st.sets(st.sampled_from(
+                    sorted(want.tensors) or ["absent"])))
+                frame = log.frame(i, keys=keys)
+                assert set(frame.tensors) == keys & set(want.tensors)
+                for key, value in frame.tensors.items():
+                    assert same_bytes(value, want.tensors[key])
+            # Same frames, same bytes: the digest that shard verification
+            # in fleet merges compares.
+            emit_all(Path(tmp) / "b", sent)
+            assert log_digest(Path(tmp) / "a") == log_digest(Path(tmp) / "b")
+
+    def test_streamed_log_digest_is_deterministic(self, small_cnn, x_frames,
+                                                  tmp_path):
+        monitor = EdgeMLMonitor(per_layer=True)
+        stream_frames(small_cnn, monitor, x_frames)
+        emit_all(tmp_path / "a", monitor.frames)
+        emit_all(tmp_path / "b", monitor.frames)
+        assert log_digest(tmp_path / "a") == log_digest(tmp_path / "b")
+
+    def test_loaded_arrays_own_their_data(self, small_cnn, x_frames,
+                                          tmp_path):
+        # A view into the decoded blob would pin the whole frame's shard
+        # for as long as one kept tensor lives.
+        monitor = EdgeMLMonitor(per_layer=True,
+                                sink=DirectorySink(tmp_path / "log"))
+        stream_frames(small_cnn, monitor, x_frames)
+        monitor.close()
+        log = EXrayLog.load(tmp_path / "log")
+        loaded = [log.frame(1, keys={"model_output"}).tensor("model_output"),
+                  *(f.tensor("model_output")
+                    for f in log.iter_frames(keys={"model_output"})),
+                  *log.frame(2).tensors.values()]
+        for array in loaded:
+            assert array.base is None and array.flags.owndata
+            assert array.flags.writeable
+
+    @pytest.mark.parametrize("value", [
+        np.array([1, "a", None], dtype=object),
+        np.zeros(3, dtype=[("x", "<f4"), ("y", "<i4")]),
+    ], ids=["object", "structured"])
+    def test_unstorable_tensor_rejected_at_emit(self, tmp_path, value):
+        sink = DirectorySink(tmp_path / "log")
+        frame = FrameLog(step=7, tensors={"ok": np.ones(2, np.float32),
+                                          "bad": value})
+        with pytest.raises(ValidationError, match="frame 7 tensor 'bad'"):
+            sink.emit(frame)
+        sink.close()
+        # Nothing of the rejected frame reached the log.
+        assert len(EXrayLog.load(tmp_path / "log")) == 0
+        assert not list((tmp_path / "log" / "tensors").iterdir())
 
 
 class TestStreamedValidationParity:
