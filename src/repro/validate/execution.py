@@ -5,8 +5,10 @@ instrumented edge app, (shared) reference pipeline, and a full
 :class:`~repro.validate.session.DebugSession` — and returns a
 :class:`~repro.validate.reporting.VariantResult`. Everything here is
 top-level and picklable so process pools can execute it; determinism of
-the zoo cache, playback data, and the device latency model makes parallel
-results byte-identical to a serial run.
+the zoo builds, playback data, and the device latency model makes parallel
+results byte-identical to a serial run. The zoo memoizes graph builds and
+playback batches per process, and the scheduler builds them in the parent
+before the pool starts, so fork-started workers inherit them.
 
 The shared reference log travels as a *sink path*: the scheduler streams
 the reference pipeline once into a
@@ -158,7 +160,7 @@ def run_variant(
     """Run one deployment variant end to end: edge app, reference, session.
 
     Top-level (picklable) so process pools can execute it; relies only on
-    the deterministic zoo cache and playback data. ``ref_log`` shares a
+    the deterministic (memoized) zoo builds and playback data. ``ref_log`` shares a
     precomputed reference run (see :func:`build_reference_log`) — either
     the log object itself or the *path* of a streamed log directory (what
     the scheduler passes, so jobs never carry pickled tensor payloads);

@@ -132,9 +132,10 @@ async def stream_sweep(
     the lineup across kernel backends before scheduling (see
     :func:`~repro.validate.variants.expand_backends`).
 
-    The zoo prewarm and shared reference-pipeline run happen synchronously
-    before the first dispatch; the stream starts once workers can reuse
-    both. The reference run streams into a
+    The zoo prewarm (every lineup stage's graph and the playback batch)
+    and shared reference-pipeline run happen synchronously before the
+    first dispatch; the stream starts once workers can reuse them. The
+    reference run streams into a
     :class:`~repro.instrument.sinks.DirectorySink` directory and jobs
     carry its *path* (workers read it lazily) instead of a pickled
     in-memory log — under ``log_dir`` that directory is
@@ -167,13 +168,9 @@ async def stream_sweep(
     check_executor(executor, workers)
     policy = policy or SweepPolicy()
     policy.check()
-
-    # Warm the shared on-disk weight cache in the parent so pool workers
-    # load trained parameters instead of each retraining the model, and run
-    # the (variant-independent) reference pipeline exactly once, streamed
-    # to disk so jobs share it by path.
-    from repro.zoo import get_trained
-    get_trained(model)
+    # An unknown model is a caller error, not one S005 per variant.
+    from repro.zoo import get_entry, get_model, playback_data
+    get_entry(model)
 
     doomed: list[VariantResult] = []
     carried: dict[str, list] = {}
@@ -198,6 +195,17 @@ async def stream_sweep(
         yield result
     if not variants:
         return
+
+    # Build every graph and the playback batch the jobs need in the parent
+    # (training the model first if its weights are not cached yet). The zoo
+    # memoizes both, so fork-started pool workers inherit them instead of
+    # each rebuilding them per job, even when the pre-flight is off or the
+    # reference log comes from ``ref_log_dir``; spawn-started workers build
+    # each at most once. The (variant-independent) reference pipeline then
+    # runs exactly once, streamed to disk so jobs share it by path.
+    for stage in dict.fromkeys(variant.stage for variant in variants):
+        get_model(model, stage)
+    playback_data(model, frames, tag)
 
     def _carry(result: VariantResult) -> VariantResult:
         extra = carried.get(result.variant.name)

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from repro.perfmodel.device import DEVICES
 from repro.runtime.resolver import KERNEL_BUG_PRESETS, RESOLVERS
 from repro.util.errors import ValidationError, did_you_mean
-
-STAGES = ("checkpoint", "mobile", "quantized")
+from repro.zoo.registry import STAGES
 
 
 @dataclass(frozen=True)

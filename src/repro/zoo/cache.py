@@ -49,6 +49,23 @@ def save_trained(
     meta_path.write_text(json.dumps(meta, indent=2))
 
 
+def trained_stamp(name: str) -> tuple | None:
+    """``(path, st_mtime_ns, st_size)`` of both cache files, or ``None``.
+
+    Anything that rewrites or relocates the cached weights (a retrain, a
+    different ``$REPRO_CACHE_DIR``) changes the stamp, so callers that
+    memoize on it rebuild.
+    """
+    stamp = []
+    for path in _paths(name):
+        try:
+            st = path.stat()
+        except FileNotFoundError:
+            return None
+        stamp.append((str(path), st.st_mtime_ns, st.st_size))
+    return tuple(stamp)
+
+
 def load_trained(
     name: str,
 ) -> tuple[dict[str, np.ndarray], dict[str, dict[str, np.ndarray]], dict] | None:

@@ -12,10 +12,18 @@ deployment progression of Figure 5:
 Every exported graph carries its correct input pipeline in
 ``graph.metadata["pipeline"]`` — the ground truth that reference pipelines
 replay and that deployment assertions check against.
+
+Both deterministic entry points are memoized per process: ``get_model``
+builds each (model, stage, quantization config, trained-weights stamp) once
+and hands out deep copies, and ``playback_data`` renders each (model, n,
+split) batch once and hands out the same read-only arrays. A sweep builds
+them in its parent process, so fork-started workers inherit them.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -37,12 +45,12 @@ from repro.pipelines.preprocess import (
     flip_horizontal,
     spectrogram,
 )
-from repro.util.errors import ReproError
+from repro.util.errors import ReproError, did_you_mean
 from repro.util.rng import derive_rng
 from repro.zoo import models as M
 from repro.zoo.arch import Layer, run_arch
 from repro.zoo.backends import ExportBackend, ParamStore
-from repro.zoo.cache import load_trained, save_trained
+from repro.zoo.cache import load_trained, save_trained, trained_stamp
 from repro.zoo.train import (
     classification_accuracy,
     classification_loss,
@@ -51,6 +59,9 @@ from repro.zoo.train import (
 )
 
 SEED = 2022
+
+STAGES = ("checkpoint", "mobile", "quantized")
+"""Deployment stages :func:`get_model` exports (see the module docstring)."""
 
 
 @dataclass(frozen=True)
@@ -147,6 +158,7 @@ def training_data(entry: ZooEntry):
     raise ReproError(f"unknown task {entry.task!r}")
 
 
+@functools.lru_cache(maxsize=8)
 def playback_data(name: str, n: int, split: str = "playback"):
     """Deterministic raw (sensor frames, labels) for edge-app playback.
 
@@ -154,18 +166,27 @@ def playback_data(name: str, n: int, split: str = "playback"):
     bytes an edge app's (possibly buggy) preprocess consumes. Labels are
     dropped for detection/segmentation, where scalar labels don't apply
     (assertions still run); text returns pre-encoded ids via eval_data.
+
+    Memoized per process (the data depends only on the arguments): every
+    call with the same arguments returns the *same* arrays, shared rather
+    than copied and marked read-only, so a write raises ``ValueError``.
+    Copy an array before modifying it.
     """
     entry = get_entry(name)
     if entry.task == "text":
-        return eval_data(name, n, split)
-    raw, labels = {
-        "classification": image_dataset(),
-        "detection": detection_dataset(),
-        "segmentation": segmentation_dataset(),
-        "speech": speech_dataset(),
-    }[entry.task].sample(n, split)
+        raw, labels = eval_data(name, n, split)
+    else:
+        raw, labels = {
+            "classification": image_dataset(),
+            "detection": detection_dataset(),
+            "segmentation": segmentation_dataset(),
+            "speech": speech_dataset(),
+        }[entry.task].sample(n, split)
     if entry.task in ("detection", "segmentation"):
         labels = None
+    for array in (raw, labels):
+        if array is not None:
+            array.flags.writeable = False
     return raw, labels
 
 
@@ -397,16 +418,40 @@ def get_model(
     stage: str = "mobile",
     quant_config: QuantizationConfig | None = None,
 ) -> Graph:
-    """Build a zoo model at a deployment stage (see module docstring)."""
+    """Build a zoo model at a deployment stage (see module docstring).
+
+    Builds are memoized per process, keyed on (name, stage, quantization
+    config) plus the stamp of the trained-weights files
+    (:func:`~repro.zoo.cache.trained_stamp`), so a retrain or a different
+    ``$REPRO_CACHE_DIR`` rebuilds. Every call returns an independent deep
+    copy: callers may mutate the graph (weights, ``metadata``, ``nodes``)
+    without affecting any later call. A failed build is not memoized.
+    """
+    if stage not in STAGES:
+        raise ReproError(
+            f"unknown stage {stage!r}{did_you_mean(stage, STAGES)}; "
+            f"use one of {'/'.join(STAGES)}")
+    key = _cache_key(get_entry(name))
+    stamp = trained_stamp(key)
+    if stamp is None:
+        get_trained(name)
+        stamp = trained_stamp(key)
+    return copy.deepcopy(_build_model(
+        name, stage, quant_config or QuantizationConfig(), stamp))
+
+
+@functools.lru_cache(maxsize=32)
+def _build_model(name: str, stage: str, quant_config: QuantizationConfig,
+                 stamp: tuple) -> Graph:
+    """The memoized build behind :func:`get_model`; ``stamp`` is key only.
+
+    The returned graph is shared by every later hit, so it must never
+    reach a caller uncopied.
+    """
     checkpoint = build_checkpoint(name)
     if stage == "checkpoint":
         return checkpoint
     mobile = convert_to_mobile(checkpoint)
     if stage == "mobile":
         return mobile
-    if stage == "quantized":
-        return quantize_graph(
-            mobile, calibration_batches(name),
-            quant_config or QuantizationConfig(),
-        )
-    raise ReproError(f"unknown stage {stage!r}; use checkpoint/mobile/quantized")
+    return quantize_graph(mobile, calibration_batches(name), quant_config)

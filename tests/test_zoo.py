@@ -4,11 +4,24 @@ These use the on-disk training cache; the first run trains the models it
 touches (deterministic, seeded).
 """
 
+import io
+import os
+import shutil
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.convert import QuantizationConfig
+from repro.graph.serialize import graph_to_bytes
 from repro.metrics import top_1_accuracy
+from repro.pipelines.edge import (
+    IMAGE_OVERRIDE_KEYS,
+    SPEECH_OVERRIDE_KEYS,
+    make_preprocess,
+)
+from repro.pipelines.preprocess import NORMALIZATIONS, SPEC_NORMALIZATIONS
 from repro.runtime import Interpreter, OpResolver, ReferenceOpResolver
 from repro.util.errors import ReproError
 from repro.zoo import (
@@ -19,7 +32,9 @@ from repro.zoo import (
     get_model,
     get_trained,
     list_models,
+    playback_data,
 )
+from repro.zoo import cache, registry
 from repro.zoo.arch import arch_signature
 
 
@@ -135,8 +150,15 @@ class TestStages:
         node = next(n for n in quant.nodes if n.op == "conv2d")
         assert not node.weight_quant["weights"].per_channel
 
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ReproError):
+    def test_unknown_stage_rejected(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("built or trained before the stage check")
+
+        monkeypatch.setattr(registry, "build_checkpoint", must_not_run)
+        monkeypatch.setattr(registry, "get_trained", must_not_run)
+        with pytest.raises(ReproError, match="did you mean 'quantized'"):
+            get_model("micro_mobilenet_v1", "quantised")
+        with pytest.raises(ReproError, match="unknown stage 'tflite'"):
             get_model("micro_mobilenet_v1", "tflite")
 
     def test_effdet_normalization_in_graph(self):
@@ -169,3 +191,207 @@ class TestStages:
         graph = get_model("deeplab_lite", "mobile")
         logits = Interpreter(graph).invoke_single(x)
         assert mean_iou(logits.argmax(-1), masks, 4) > 0.5
+
+
+MEMO_MODEL = "micro_mobilenet_v1"
+
+
+def graph_parts(graph):
+    """A graph's serialized document and weight arrays, by container key."""
+    with np.load(io.BytesIO(graph_to_bytes(graph))) as data:
+        return {key: data[key] for key in data.files}
+
+
+def assert_same_graph(a, b):
+    parts_a, parts_b = graph_parts(a), graph_parts(b)
+    assert sorted(parts_a) == sorted(parts_b)
+    for key, value in parts_a.items():
+        other = parts_b[key]
+        assert value.dtype == other.dtype and value.shape == other.shape, key
+        assert value.tobytes() == other.tobytes(), key
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    """Names of the real builds behind get_model, from an empty memo."""
+    registry._build_model.cache_clear()
+    built = []
+    real = registry.build_checkpoint
+
+    def counted(name):
+        built.append(name)
+        return real(name)
+
+    monkeypatch.setattr(registry, "build_checkpoint", counted)
+    yield built
+    registry._build_model.cache_clear()
+
+
+def copy_trained_files(name, dest):
+    key = registry._cache_key(get_entry(name))
+    dest.mkdir(exist_ok=True)
+    for path in cache._paths(key):
+        shutil.copy2(path, dest / path.name)
+    return key
+
+
+class TestModelMemo:
+    @pytest.mark.parametrize("stage", ["checkpoint", "mobile", "quantized"])
+    def test_warm_result_matches_cold_build(self, stage):
+        get_model(MEMO_MODEL, stage)
+        warm = get_model(MEMO_MODEL, stage)
+        registry._build_model.cache_clear()
+        cold = get_model(MEMO_MODEL, stage)
+        assert_same_graph(warm, cold)
+
+    def test_repeat_calls_build_once(self, count_builds):
+        first = get_model(MEMO_MODEL, "quantized")
+        second = get_model(MEMO_MODEL, "quantized")
+        assert count_builds == [MEMO_MODEL]
+        assert first is not second
+        assert_same_graph(first, second)
+
+    def test_mutating_a_result_does_not_leak(self):
+        pristine = get_model(MEMO_MODEL, "mobile")
+        mutated = get_model(MEMO_MODEL, "mobile")
+        for node in mutated.nodes:
+            for array in node.weights.values():
+                array[...] = 0
+        mutated.nodes[0].attrs["tampered"] = True
+        mutated.metadata["stage"] = "tampered"
+        mutated.metadata["pipeline"]["image_preprocess"]["channel_order"] = "bgr"
+        mutated.nodes.clear()
+        assert_same_graph(get_model(MEMO_MODEL, "mobile"), pristine)
+
+    def test_rewritten_trained_files_rebuild(self, tmp_path, monkeypatch,
+                                             count_builds):
+        key = copy_trained_files(MEMO_MODEL, tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        get_model(MEMO_MODEL, "mobile")
+        get_model(MEMO_MODEL, "mobile")
+        assert len(count_builds) == 1
+
+        params, state, meta = cache.load_trained(key)
+        cache.save_trained(key, params, state, {**meta, "note": "rewritten"})
+        rebuilt = get_model(MEMO_MODEL, "mobile")
+        assert len(count_builds) == 2
+        assert rebuilt.metadata["training_meta"]["note"] == "rewritten"
+        get_model(MEMO_MODEL, "mobile")
+        assert len(count_builds) == 2
+
+    def test_switching_cache_dir_rebuilds(self, tmp_path, monkeypatch,
+                                          count_builds):
+        home = str(cache.cache_dir())
+        get_model(MEMO_MODEL, "mobile")
+        for sub in ("a", "b"):
+            copy_trained_files(MEMO_MODEL, tmp_path / sub)
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / sub))
+            get_model(MEMO_MODEL, "mobile")
+        assert len(count_builds) == 3
+        monkeypatch.setenv("REPRO_CACHE_DIR", home)
+        get_model(MEMO_MODEL, "mobile")
+        assert len(count_builds) == 3
+
+    def test_quant_configs_give_different_graphs(self):
+        def conv_per_channel(graph):
+            node = next(n for n in graph.nodes if n.op == "conv2d")
+            return node.weight_quant["weights"].per_channel
+
+        default = get_model(MEMO_MODEL, "quantized")
+        explicit = get_model(MEMO_MODEL, "quantized", QuantizationConfig())
+        per_tensor = get_model(MEMO_MODEL, "quantized",
+                               QuantizationConfig(per_channel_weights=False))
+        assert_same_graph(default, explicit)
+        assert conv_per_channel(default) and not conv_per_channel(per_tensor)
+
+    def test_failed_build_is_not_cached(self, count_builds):
+        for _ in range(2):
+            with pytest.raises(ReproError, match="not supported"):
+                get_model("nnlm_lite", "quantized")
+        assert count_builds == ["nnlm_lite", "nnlm_lite"]
+
+    def test_concurrent_callers_get_independent_graphs(self):
+        # More threads than cores copy the one memoized graph at once, and
+        # every thread wrecks what it gets, so a shared graph would leak.
+        # The build is warm first and the checks stay in plain numpy:
+        # np.load header parsing from many threads at this switch interval
+        # trips a CPython 3.11 compiler race unrelated to the memo.
+        pristine = get_model(MEMO_MODEL, "mobile")
+        leaks, finished = [], []
+
+        def intact(graph):
+            return graph.metadata["stage"] == "mobile" and all(
+                ours.weights.keys() == theirs.weights.keys() and all(
+                    np.array_equal(ours.weights[k], theirs.weights[k])
+                    for k in ours.weights)
+                for ours, theirs in zip(graph.nodes, pristine.nodes,
+                                        strict=True))
+
+        def worker():
+            for _ in range(5):
+                graph = get_model(MEMO_MODEL, "mobile")
+                if not intact(graph):
+                    leaks.append(graph.name)
+                for node in graph.nodes:
+                    for array in node.weights.values():
+                        array[...] = 0
+                graph.metadata["stage"] = "tampered"
+            finished.append(True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker)
+                       for _ in range(2 * (os.cpu_count() or 1) + 2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(finished) == len(threads) and leaks == []
+
+
+class TestPlaybackMemo:
+    @pytest.mark.parametrize("name", ["micro_mobilenet_v1", "ssd_lite",
+                                      "speech_cnn_a", "nnlm_lite"])
+    def test_arrays_reject_writes(self, name):
+        raw, labels = playback_data(name, 3, "memo")
+        for array in (raw, labels):
+            if array is None:
+                continue
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+
+    def test_repeat_calls_share_arrays(self):
+        first = playback_data(MEMO_MODEL, 3, "memo")
+        second = playback_data(MEMO_MODEL, 3, "memo")
+        assert first[0] is second[0] and first[1] is second[1]
+
+    @pytest.mark.parametrize("name, options, keys", [
+        (MEMO_MODEL, {
+            "target_size": [[48, 48], [80, 64]],
+            "resize_method": ["area", "bilinear", "nearest"],
+            "channel_order": ["rgb", "bgr"],
+            "normalization": list(NORMALIZATIONS),
+            "rotation_k": [1, 2, 3],
+        }, IMAGE_OVERRIDE_KEYS),
+        ("speech_cnn_a", {
+            "spectrogram_normalization": list(SPEC_NORMALIZATIONS),
+            "frame_len": [200, 320],
+            "hop": [100, 160],
+            "num_bins": [32, 48],
+        }, SPEECH_OVERRIDE_KEYS),
+    ], ids=["image", "speech"])
+    def test_overrides_run_on_read_only_batch(self, name, options, keys):
+        assert set(options) == keys
+        raw, _ = playback_data(name, 3, "memo")
+        before = raw.tobytes()
+        pipeline = get_entry(name).pipeline
+        for key, values in options.items():
+            for value in values:
+                out = make_preprocess(pipeline, {key: value})(raw)
+                assert out.dtype == np.float32 and len(out) == len(raw)
+        assert raw.tobytes() == before
