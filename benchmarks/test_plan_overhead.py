@@ -5,7 +5,9 @@ lookups, quantized-flag derivation, output-spec resolution, op-class
 labelling, refcount construction, and MAC/element counting out of the
 invoke loop. This benchmark drives repeated single-frame invokes of a small
 zoo model — the always-on deployment pattern whose overhead Table 2 prices
-— through both paths and reports the per-invoke saving.
+— through the compiled path and through the test-only re-derive reference
+(:class:`~tests.reference_interpreter.ReDeriveInterpreter`, which compiles
+a fresh plan on every invoke) and reports the per-invoke saving.
 
 Two properties are asserted:
 
@@ -24,6 +26,7 @@ from repro.perfmodel import PIXEL4_CPU
 from repro.runtime import Interpreter, OpResolver
 from repro.util.tabulate import format_table
 from repro.zoo import eval_data, get_model
+from tests.reference_interpreter import ReDeriveInterpreter
 
 MODEL = "micro_mobilenet_v1"
 INVOKES = 40
@@ -61,11 +64,10 @@ def test_plan_invoke_overhead(benchmark):
 
     def experiment():
         results = {}
-        for label, use_plan in (("seed (re-derive)", False),
-                                ("compiled plan", True)):
+        for label, cls in (("seed (re-derive)", ReDeriveInterpreter),
+                           ("compiled plan", Interpreter)):
             resolver = CountingResolver()
-            interp = Interpreter(graph, resolver, device=PIXEL4_CPU,
-                                 use_plan=use_plan)
+            interp = cls(graph, resolver, device=PIXEL4_CPU)
             seconds = timed_invokes(interp, x)
             results[label] = {
                 "ms_per_invoke": seconds / INVOKES * 1e3,

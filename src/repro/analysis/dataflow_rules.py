@@ -147,11 +147,11 @@ def range_contradiction(ctx: RuleContext) -> Iterator[Diagnostic]:
 def arena_layout_soundness(ctx: RuleContext) -> Iterator[Diagnostic]:
     """The static arena layout fails its independent soundness proof.
 
-    Verifies the plan's attached arena layout — or, when none is attached,
-    a freshly packed one — against liveness re-derived from the graph
-    alone: every tensor has a correctly-sized slot inside the arena, and no
-    two simultaneously-live tensors overlap in bytes. Any finding means the
-    runtime consuming those offsets would corrupt activations.
+    Packs an arena layout from the plan and verifies it against liveness
+    re-derived from the graph alone: every tensor has a correctly-sized
+    slot inside the arena, and no two simultaneously-live tensors overlap
+    in bytes. Any finding means a runtime serving tensors from those
+    offsets would corrupt activations.
     """
     from repro.analysis.arena import pack_arena, verify_layout
 
@@ -159,7 +159,4 @@ def arena_layout_soundness(ctx: RuleContext) -> Iterator[Diagnostic]:
         plan = ctx.get_plan()
     except GraphError:
         return  # P001 owns unexecutable graphs; no plan means no layout
-    layout = getattr(plan, "arena", None)
-    if layout is None:
-        layout = pack_arena(ctx.graph, plan)
-    yield from verify_layout(ctx.graph, layout)
+    yield from verify_layout(ctx.graph, pack_arena(ctx.graph, plan))

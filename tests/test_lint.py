@@ -30,7 +30,7 @@ from repro.analysis import (
     severity_rank,
     verify_pass,
 )
-from repro.analysis.arena import corrupt_layout_for_test, pack_arena
+from repro.analysis.arena import corrupt_layout_for_test
 from repro.graph.spec import TensorSpec
 from repro.quantize.params import QuantParams
 from repro.runtime.plan import compile_plan
@@ -195,15 +195,17 @@ def _break_d004(mobile, quantized):
     return quantized, {"categories": ("dataflow",)}
 
 
-def _break_a001(mobile, quantized):
-    # A plan carrying a deliberately-corrupted arena layout (two live
-    # tensors aliased onto the same bytes) must be rejected by the
-    # independent verifier.
-    resolver = OpResolver()
-    plan = compile_plan(mobile, resolver)
-    plan.arena = corrupt_layout_for_test(pack_arena(mobile, plan))
-    return mobile, {"categories": ("arena",), "resolver": resolver,
-                    "plan": plan}
+def _break_a001(mobile, quantized, monkeypatch):
+    # A001 packs a layout from the plan; a packer that returns a
+    # deliberately-corrupted layout (two live tensors aliased onto the
+    # same bytes) must be caught by the independent verifier.
+    import repro.analysis.arena as arena_mod
+    real_pack = arena_mod.pack_arena
+    monkeypatch.setattr(
+        arena_mod, "pack_arena",
+        lambda graph, plan=None, batch=1:
+            corrupt_layout_for_test(real_pack(graph, plan, batch)))
+    return mobile, {"categories": ("arena",)}
 
 
 def _break_s001(mobile, quantized):
@@ -259,13 +261,18 @@ BREAKERS = {
     "S004": _break_s004,
 }
 
+PATCHING_BREAKERS = frozenset({"A001"})
+"""Breakers that also take the ``monkeypatch`` fixture (undone after the test)."""
+
 
 class TestRuleCoverage:
     @pytest.mark.parametrize("rule_id", sorted(BREAKERS))
     def test_each_rule_fires_on_its_broken_graph(
-            self, rule_id, small_cnn_mobile, small_cnn_quantized):
+            self, rule_id, small_cnn_mobile, small_cnn_quantized,
+            monkeypatch):
+        extra = (monkeypatch,) if rule_id in PATCHING_BREAKERS else ()
         graph, kwargs = BREAKERS[rule_id](small_cnn_mobile,
-                                          small_cnn_quantized)
+                                          small_cnn_quantized, *extra)
         report = lint_graph(graph, **kwargs)
         fired = {d.rule_id for d in report.diagnostics}
         assert rule_id in fired, report.render()

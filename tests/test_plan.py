@@ -1,9 +1,10 @@
 """Execution-plan tests: compilation, caching, staleness, seed parity.
 
-The parity tests pin the refactor's contract: a plan-compiled interpreter
-must be *bit-identical* to the seed (re-derive-per-call) interpreter in
-outputs, profile, simulated latency, and peak-memory accounting — wall-clock
-fields excepted, as they are measured, not computed.
+The parity tests pin the plan's contract: a plan-compiled interpreter must
+be *bit-identical* to the seed (re-derive-per-call) reference,
+:class:`~tests.reference_interpreter.ReDeriveInterpreter`, in outputs,
+profile, simulated latency, and peak-memory accounting — wall-clock fields
+excepted, as they are measured, not computed.
 """
 
 import numpy as np
@@ -17,19 +18,13 @@ from repro.runtime import (
     compile_plan,
     node_is_quantized,
 )
-
-
-def strip_wall(profile):
-    """Profile entries minus the measured wall_ms field."""
-    return [{k: v for k, v in entry.items() if k != "wall_ms"}
-            for entry in profile]
+from tests.reference_interpreter import ReDeriveInterpreter, strip_wall
 
 
 def assert_invoke_parity(graph, x, resolver_fn=OpResolver, device=PIXEL4_CPU):
     """Planned and unplanned interpreters must agree bit-for-bit."""
     planned = Interpreter(graph, resolver_fn(), device=device)
-    unplanned = Interpreter(graph, resolver_fn(), device=device,
-                            use_plan=False)
+    unplanned = ReDeriveInterpreter(graph, resolver_fn(), device=device)
     out_p = planned.invoke(x)
     out_u = unplanned.invoke(x)
     assert sorted(out_p) == sorted(out_u)
@@ -151,7 +146,7 @@ class TestSeedParity:
         # outputs and memory accounting still must match.
         x = rng.normal(size=(2, 8, 8, 3)).astype(np.float32)
         planned = Interpreter(small_cnn)
-        unplanned = Interpreter(small_cnn, use_plan=False)
+        unplanned = ReDeriveInterpreter(small_cnn)
         np.testing.assert_array_equal(
             planned.invoke_single(x), unplanned.invoke_single(x))
         assert planned.last_peak_activation_bytes == \

@@ -44,6 +44,35 @@ class TestInvoke:
         b = Interpreter(small_cnn).invoke_single(x)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("batches", [(1, 5), (2, 3)],
+                             ids=["1-vs-5", "2-vs-3"])
+    def test_disagreeing_batch_dims_rejected(self, rng, batches):
+        # Every None dim binds to one batch (node_work, liveness, the
+        # packer). Feeds of batch 1 and 5 used to broadcast silently to a
+        # batch-5 output charged as batch 1; 2 and 3 failed inside the
+        # kernel with numpy's broadcast error. Both must be refused at the
+        # door, naming each input and its size, before any kernel runs.
+        from repro.graph import GraphBuilder
+
+        b = GraphBuilder("two_in")
+        x = b.input("a", (None, 6, 6, 4))
+        y = b.input("b", (None, 6, 6, 4))
+        b.mark_output(b.add("mul", [x, y], name="prod"))
+        interp = Interpreter(b.finish(), device=PIXEL4_CPU)
+        ran = []
+        interp.add_observer(ran.append)
+        na, nb = batches
+        feeds = {"a": rng.normal(size=(na, 6, 6, 4)).astype(np.float32),
+                 "b": rng.normal(size=(nb, 6, 6, 4)).astype(np.float32)}
+        with pytest.raises(ShapeError) as err:
+            interp.invoke(feeds)
+        msg = str(err.value)
+        assert f"'a' has batch {na}" in msg and f"'b' has batch {nb}" in msg
+        assert ran == []
+        # Agreeing feeds still run.
+        feeds["b"] = feeds["b"][:1].repeat(na, axis=0)
+        assert interp.invoke(feeds)["prod"].shape == (na, 6, 6, 4)
+
 
 class TestObservers:
     def test_observer_sees_every_node(self, small_cnn, rng):
