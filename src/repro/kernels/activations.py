@@ -7,6 +7,8 @@ the micro-BERT model.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -45,9 +47,17 @@ def tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(x)
 
 
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Gaussian error linear unit (tanh approximation, as in BERT)."""
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    """Gaussian error linear unit (tanh approximation, as in BERT).
+
+    Python-float constants keep a float32 input in float32 (a numpy
+    float64 scalar would upcast it), and ``x*x*x`` is far cheaper than
+    ``x**3``.
+    """
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * (x * x * x))))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -5,6 +5,8 @@ These back the NNLM-lite and micro-BERT text models in the zoo.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.kernels.activations import softmax
@@ -40,7 +42,7 @@ def scaled_dot_product_attention(
     ``mask`` broadcasts against (..., Lq, Lk); masked positions get -inf.
     """
     d = q.shape[-1]
-    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(float(d))
+    scores = q @ np.swapaxes(k, -1, -2) / math.sqrt(d)
     if mask is not None:
         scores = np.where(mask, scores, -1e30)
     return softmax(scores, axis=-1) @ v

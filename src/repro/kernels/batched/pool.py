@@ -56,12 +56,13 @@ def batched_avg_pool2d(
         for j in range(kw):
             tap = _tap_view(xp, i, j, oh, ow, sh, sw)
             if acc is None:
-                acc = tap.astype(np.float64, copy=True)
+                acc = tap.copy()
             else:
                 acc += tap
     # In-bounds element count per window position (TFLite divides by the
-    # valid count, not kh*kw): the same tap-sum over an all-ones plane.
-    ones = np.ones((1, x.shape[1], x.shape[2], 1), dtype=np.float64)
+    # valid count, not kh*kw): the same tap-sum over an all-ones plane, in
+    # the input's dtype so the division keeps it.
+    ones = np.ones((1, x.shape[1], x.shape[2], 1), dtype=x.dtype)
     op = _pad_spatial(ones, pad)
     counts = None
     for i in range(kh):

@@ -15,14 +15,15 @@ from repro.util.errors import KernelError
 
 def _pool_counts(
     in_h: int, in_w: int, kh: int, kw: int, sh: int, sw: int,
-    pad: tuple[tuple[int, int], tuple[int, int]],
+    pad: tuple[tuple[int, int], tuple[int, int]], dtype: np.dtype,
 ) -> np.ndarray:
     """Number of *valid* (non-padding) elements under each window position.
 
     TFLite average pooling divides by the count of in-bounds elements, not by
-    the full window size; this matters for 'same'-padded edges.
+    the full window size; this matters for 'same'-padded edges. Counts come
+    in ``dtype`` (the input's), so dividing by them keeps that dtype.
     """
-    ones = np.ones((1, in_h, in_w, 1), dtype=np.float64)
+    ones = np.ones((1, in_h, in_w, 1), dtype=dtype)
     counts = extract_patches(ones, kh, kw, sh, sw, pad).sum(axis=(3, 4))
     return counts[0, :, :, 0]
 
@@ -39,7 +40,8 @@ def avg_pool2d(
     pad = resolve_padding(padding, x.shape[1], x.shape[2], kh, kw, sh, sw)
     patches = extract_patches(x, kh, kw, sh, sw, pad)
     sums = patches.sum(axis=(3, 4))
-    counts = _pool_counts(x.shape[1], x.shape[2], kh, kw, sh, sw, pad)
+    counts = _pool_counts(x.shape[1], x.shape[2], kh, kw, sh, sw, pad,
+                          x.dtype)
     return sums / counts[None, :, :, None]
 
 

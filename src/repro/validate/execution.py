@@ -14,13 +14,16 @@ The shared reference log travels as a *sink path*: the scheduler streams
 the reference pipeline once into a
 :class:`~repro.instrument.sinks.DirectorySink` directory and every job
 carries that path instead of a pickled in-memory log, so per-layer
-reference tensors are read lazily in each worker rather than serialized
-into every job. With ``log_dir`` set, workers likewise stream their edge
-logs to per-variant DirectorySink shards.
+reference tensors are never serialized into a job. A worker whose edge log
+is in memory decodes that directory once per process and reuses it for
+every later variant (:func:`resolve_ref_log`). With ``log_dir`` set,
+workers instead stream their edge logs to per-variant DirectorySink shards
+and read the reference lazily, so both sides keep O(1) frames resident.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import warnings
@@ -123,10 +126,49 @@ def build_reference_log(
     return reference.log()
 
 
+def _dir_stamp(root: Path) -> tuple:
+    """``(name, st_size, st_mtime_ns)`` of every file under ``root``.
+
+    Rewriting, truncating, adding or removing any file of a log directory
+    changes the stamp, so a memo keyed on it reloads.
+    """
+    stamp = []
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            st = path.stat()
+            stamp.append((path.relative_to(root).as_posix(), st.st_size,
+                          st.st_mtime_ns))
+    return tuple(stamp)
+
+
+@functools.lru_cache(maxsize=1)
+def _resident_log(root: Path, stamp: tuple) -> EXrayLog:
+    """The memoized load behind :func:`resolve_ref_log`; ``stamp`` is key only.
+
+    Every frame is materialized once and every tensor marked read-only:
+    later callers share the arrays, so a write raises ``ValueError``. A
+    failed load (e.g. a corrupt shard) is not cached.
+    """
+    log = EXrayLog.load(root)
+    for frame in log.frames:
+        for array in frame.tensors.values():
+            array.flags.writeable = False
+    return log
+
+
 def resolve_ref_log(ref_log: EXrayLog | str | Path | None) -> EXrayLog | None:
-    """Accept a shared reference log as an object or a log-directory path."""
+    """Accept a shared reference log as an object or a log-directory path.
+
+    A path is decoded once per process: the fully materialized log is
+    memoized on the resolved path plus a stamp of every file in the
+    directory, so every later variant of a sweep reuses the same read-only
+    frames, and a rewritten directory reloads. Callers that must keep
+    O(1) frames resident open the directory with :meth:`EXrayLog.load`
+    instead.
+    """
     if isinstance(ref_log, (str, Path)):
-        return EXrayLog.load(ref_log)
+        root = Path(ref_log).resolve()
+        return _resident_log(root, _dir_stamp(root))
     return ref_log
 
 
@@ -168,8 +210,10 @@ def run_variant(
 
     ``log_dir`` streams the variant's edge log to
     ``log_dir/<variant name>`` as the app runs (DirectorySink shards, O(1)
-    frames resident) and validates from the streamed directory; the log
-    stays on disk for post-hoc inspection (``repro log show``).
+    frames resident) and validates from the streamed directory against a
+    lazily read reference; the log stays on disk for post-hoc inspection
+    (``repro log show``). Without it, a reference path goes through the
+    per-process memo of :func:`resolve_ref_log`.
     """
     from repro.zoo import get_entry, get_model, playback_data
 
@@ -195,7 +239,17 @@ def run_variant(
     )
     edge.run(raw, labels, log_raw=entry.task == "classification")
     edge.monitor.close()
-    ref_log = resolve_ref_log(ref_log)
+    # attach() made a monitor <-> interpreter cycle; break it so this
+    # variant's graph copy and edge log are freed when it returns, not at
+    # the next cyclic GC (which a pool worker may not reach for several
+    # variants).
+    edge.monitor.detach(edge.interpreter)
+    if log_dir is None:
+        # The edge log is in memory anyway: share the decoded reference.
+        ref_log = resolve_ref_log(ref_log)
+    elif isinstance(ref_log, (str, Path)):
+        # A streamed sweep keeps O(1) frames resident on both sides.
+        ref_log = EXrayLog.load(ref_log)
     if ref_log is None:
         ref_log = build_reference_log(model, frames, tag)
 

@@ -24,10 +24,11 @@ which is exactly what :func:`~repro.validate.sweep.run_sweep` now does.
 
 The shared reference pipeline streams to a
 :class:`~repro.instrument.sinks.DirectorySink` directory exactly once,
-and jobs carry its *path* — workers open it as a lazy
-:class:`~repro.instrument.store.EXrayLog` instead of deserializing a
-pickled per-layer tensor payload per job. ``log_dir`` additionally makes
-every worker stream its edge log to ``log_dir/<variant>`` shards.
+and jobs carry its *path* — each worker decodes it once and reuses it
+(:func:`~repro.validate.execution.resolve_ref_log`) instead of
+deserializing a pickled per-layer tensor payload per job. ``log_dir``
+additionally makes every worker stream its edge log to
+``log_dir/<variant>`` shards and read the reference lazily.
 
 :func:`iter_sweep` is the synchronous bridge for non-async callers (the
 CLI's ``repro sweep --stream``): a plain generator that owns a private
@@ -46,6 +47,7 @@ from pathlib import Path
 
 from repro.util.errors import ValidationError
 from repro.validate.execution import (
+    _resident_log,
     _run_variant_args,
     build_reference_log,
     check_executor,
@@ -329,6 +331,8 @@ async def stream_sweep(
     finally:
         if ref_is_temp:
             shutil.rmtree(ref_root, ignore_errors=True)
+        # In-process (serial/thread) jobs memoized the decoded reference.
+        _resident_log.cache_clear()
 
 
 def _swallow_result(fut: asyncio.Future) -> None:

@@ -14,6 +14,8 @@ The runtime contract, pinned from every side:
   quantized, at every batch size, on both CPU backends;
 * **memory metric** — ``last_peak_activation_bytes`` equals the
   compile-time liveness peak of the plan at the invoked batch;
+* **dtype conformance** — every node's output carries its spec's dtype,
+  zoo-wide, on both CPU backends, at batch 1 and 32;
 * **verifier skepticism** — ``verify_layout`` re-proves every alias claim
   from the graph; a layout asserting a false alias is rejected, never
   trusted.
@@ -213,28 +215,14 @@ class TestZooParityMatrix:
 
 # ------------------------------------------------------- memory metric
 
-# Mobile stages whose kernels leak float64 (avg_pool2d's float64 counts,
-# self_attention's upcast): downstream activations are twice their declared
-# float32 size, so resident bytes exceed the spec-derived peak (2x on
-# micro_bert and micro_mobilenet_v3, ~1.6x on micro_inception).
-FLOAT64_LEAK = frozenset({"micro_bert", "micro_inception", "micro_mobilenet_v3"})
-
-
-def _peak_cases():
+def _zoo_cases():
     for model in sorted(list_models()):
         for stage in ("mobile", "quantized"):
-            marks = ()
-            if stage == "mobile" and model in FLOAT64_LEAK:
-                marks = pytest.mark.xfail(
-                    strict=True,
-                    reason="float64 leak: kernels upcast declared float32 "
-                           "activations, doubling resident bytes")
-            yield pytest.param(model, stage, marks=marks,
-                               id=f"{model}-{stage}")
+            yield pytest.param(model, stage, id=f"{model}-{stage}")
 
 
 class TestPeakMatchesLiveness:
-    @pytest.mark.parametrize("model,stage", list(_peak_cases()))
+    @pytest.mark.parametrize("model,stage", list(_zoo_cases()))
     def test_peak_equals_liveness_peak(self, model, stage):
         # One path, one meaning: the runtime's refcounted peak is the
         # compile-time liveness peak of the plan it ran, at that batch.
@@ -251,6 +239,32 @@ class TestPeakMatchesLiveness:
                 if got != want:
                     mismatches.append((resolver_cls.__name__, batch, got, want))
         assert mismatches == []
+
+
+class TestDtypeConformance:
+    @pytest.mark.parametrize("model,stage", list(_zoo_cases()))
+    def test_node_outputs_keep_declared_dtype(self, model, stage):
+        # Every node's output has its spec's dtype on every backend and
+        # batch: a kernel that upcasts (a float64 scalar or count array
+        # meeting a float32 tensor) would silently run the rest of the
+        # graph in float64 at twice the declared bytes.
+        if stage == "quantized" and model in UNQUANTIZABLE:
+            pytest.skip(f"{model} has no quantized stage")
+        graph = get_model(model, stage)
+        violations = []
+        for resolver_cls in (OpResolver, BatchedOpResolver):
+            interp = Interpreter(graph, resolver_cls())
+
+            def observe(record, backend=resolver_cls.__name__):
+                if record.output.dtype != np.dtype(record.spec.dtype):
+                    violations.append(
+                        (backend, batch, record.node.name, record.node.op,
+                         str(record.output.dtype), record.spec.dtype))
+
+            interp.add_observer(observe)
+            for batch in (1, 32):
+                interp.invoke(make_feeds(graph, batch))
+        assert violations == []
 
 
 # ------------------------------------------------------- arena runtime

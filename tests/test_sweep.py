@@ -1,12 +1,23 @@
 """Deployment-sweep tests: variant parsing, parallel/serial equivalence."""
 
+import gc
 import json
 import multiprocessing
+import os
+import sys
 
+import numpy as np
 import pytest
 
+from repro.instrument import store
 from repro.util.errors import ValidationError
-from repro.validate.execution import _run_variant_args, make_pool
+from repro.validate import execution
+from repro.validate.execution import (
+    _resident_log,
+    _run_variant_args,
+    make_pool,
+    resolve_ref_log,
+)
 from repro.validate.sweep import (
     DEFAULT_IMAGE_VARIANTS,
     SweepVariant,
@@ -232,3 +243,134 @@ class TestRunSweep:
         for variant in DEFAULT_IMAGE_VARIANTS[:2]:
             assert variant.name in text
         assert "sweep verdict" in text
+
+
+class TestReferenceMemo:
+    """The decoded shared reference: once per process, read-only, fresh."""
+
+    VARIANTS = [SweepVariant("clean"),
+                SweepVariant("bgr", {"channel_order": "bgr"}),
+                SweepVariant("rot90", {"rotation_k": 1}),
+                SweepVariant("clean_q", stage="quantized")]
+
+    @pytest.fixture
+    def count_decodes(self, monkeypatch, tmp_path):
+        # Append one line per v3 shard decode; fork-started pool workers
+        # inherit the patch and append to the same file.
+        counter = tmp_path / "decodes.txt"
+        counter.touch()
+        real = store._DirectorySource._attach_v3
+
+        def counted(source, doc, frame, keys=None):
+            with counter.open("a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return real(source, doc, frame, keys)
+
+        monkeypatch.setattr(store._DirectorySource, "_attach_v3", counted)
+        return lambda: counter.read_text().splitlines()
+
+    @pytest.fixture
+    def ref_dir(self, tmp_path):
+        root = tmp_path / "reference"
+        build_reference_log(MODEL, 4, log_root=root)
+        yield root
+        _resident_log.cache_clear()
+
+    def test_serial_sweep_decodes_each_reference_frame_once(
+            self, count_decodes):
+        frames = 8
+        run_sweep(MODEL, self.VARIANTS, frames=frames, executor="serial")
+        assert 0 < len(count_decodes()) <= frames
+
+    def test_process_sweep_decodes_once_per_worker(self, count_decodes):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("counting decodes needs fork-inherited patches")
+        frames, workers = 8, 2
+        run_sweep(MODEL, self.VARIANTS, frames=frames, executor="process",
+                  workers=workers)
+        decodes = count_decodes()
+        assert 0 < len(decodes) <= frames * workers
+        for pid in set(decodes):
+            assert decodes.count(pid) <= frames
+
+    def test_memoized_tensors_are_read_only_and_shared(self, ref_dir):
+        log = resolve_ref_log(ref_dir)
+        assert resolve_ref_log(str(ref_dir)) is log
+        tensors = [t for frame in log.frames for t in frame.tensors.values()]
+        assert tensors and not any(t.flags.writeable for t in tensors)
+        with pytest.raises(ValueError):
+            tensors[0][...] = 0
+
+    def test_rewritten_shard_reloads(self, ref_dir):
+        first = resolve_ref_log(ref_dir)
+        shard = ref_dir / "tensors" / "000000.bin"
+        st = shard.stat()
+        os.utime(shard, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
+        second = resolve_ref_log(ref_dir)
+        assert second is not first
+        for a, b in zip(first.frames, second.frames):
+            assert a.tensors.keys() == b.tensors.keys()
+            for key in a.tensors:
+                np.testing.assert_array_equal(a.tensors[key], b.tensors[key])
+
+    def test_corrupt_shard_raises_named_error_and_is_not_cached(
+            self, ref_dir):
+        resolve_ref_log(ref_dir)
+        shard = ref_dir / "tensors" / "000001.bin"
+        good = shard.read_bytes()
+        shard.write_bytes(b"not a zlib stream")
+        with pytest.raises(ValidationError, match="000001.bin is corrupt"):
+            resolve_ref_log(ref_dir)
+        with pytest.raises(ValidationError, match="000001.bin is corrupt"):
+            resolve_ref_log(ref_dir)
+        shard.write_bytes(good)
+        assert len(resolve_ref_log(ref_dir).frames) == 4
+
+    def test_log_dir_keeps_reference_lazy(self, monkeypatch, tmp_path):
+        seen = []
+
+        class Spy(execution.DebugSession):
+            def __init__(self, edge_log, ref_log, **kwargs):
+                seen.append((ref_log, _resident_log.cache_info().currsize))
+                super().__init__(edge_log, ref_log, **kwargs)
+
+        monkeypatch.setattr(execution, "DebugSession", Spy)
+        _resident_log.cache_clear()
+        run_sweep(MODEL, self.VARIANTS[:2], frames=8, executor="serial",
+                  log_dir=tmp_path / "logs", always_assert=True)
+        assert len(seen) == 2
+        for ref_log, memo_size in seen:
+            assert ref_log._frames is None
+            assert memo_size == 0
+
+    def test_variant_leaves_no_cyclic_garbage(self, ref_dir):
+        # A pool worker runs many variants between cyclic collections;
+        # each variant's graph copy and edge log must be freed by
+        # refcounting when it returns, or they pile up on top of the
+        # resident reference.
+        variant = SweepVariant("bgr", {"channel_order": "bgr"})
+        run_variant(MODEL, variant, frames=4, ref_log=ref_dir)
+        gc.collect()
+        gc.disable()
+        try:
+            run_variant(MODEL, variant, frames=4, ref_log=ref_dir)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_executors_agree_byte_for_byte(self):
+        # More threads than cores, switching often, share one memo: the
+        # first variants race to fill it.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            docs = {
+                executor: json.dumps(
+                    run_sweep(MODEL, self.VARIANTS, frames=8,
+                              executor=executor, workers=workers).to_doc(),
+                    sort_keys=True)
+                for executor, workers in (("serial", None), ("thread", 4),
+                                          ("process", 2))}
+        finally:
+            sys.setswitchinterval(interval)
+        assert docs["serial"] == docs["thread"] == docs["process"]
